@@ -22,17 +22,18 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # Pipeline + analysis + store benchmarks (full study, hourly search, daily
-# sweep, LDA fit + K×vocab kernel sweep, cold figure aggregation, columnar
-# ingest; serial vs parallel where both exist, plus the checkpointed study
-# variant whose delta over plain parallel is the cost of
-# crash-resumability) rendered to BENCH_10.json, including the derived
+# sweep, LDA fit: dense oracle vs the alias kernel serial and parallel,
+# plus the dense-vs-alias K×vocab kernel sweep, cold figure aggregation,
+# columnar ingest; serial vs parallel where both exist, plus the
+# checkpointed study variant whose delta over plain parallel is the cost
+# of crash-resumability) rendered to BENCH_10.json, including the derived
 # speedups, custom metrics (ns/rec, liveB/rec, tok/s, and the spill
 # benchmark's peakRSS-MB / heapLive-MB / segDisk-MB) and the machine's
 # core count. benchjson's -cpus mode runs the suite under each GOMAXPROCS
 # in BENCH_CPUS, so the document carries a per-CPU-count matrix — the
 # measurements behind the SearchWorkers/CollectWorkers defaults and the
-# LDA chunk-merge speedup (BenchmarkLDAFit/parallel per CPU count),
-# measured rather than assumed.
+# alias kernel's chunk-merge speedup (BenchmarkLDAFit/parallel per CPU
+# count), measured rather than assumed.
 BENCH_PATTERN = StudyRun|HourlySearch|DailySweep|LDAFit|LDASweep|RenderAll|StoreIngest
 BENCH_PKGS = ./internal/core ./internal/analysis/lda ./internal/store
 BENCH_CPUS = 1,2
@@ -90,19 +91,18 @@ bench-scale:
 		./internal/store
 
 # Short fuzz bursts over the parsing surfaces the fault injector attacks
-# (URL extraction and the WhatsApp landing-page scraper) plus the sparse
-# LDA bucket sampler's invariants under arbitrary count shapes. 10s per
-# target: long enough to shake out regressions against the checked-in
-# corpus, short enough for every CI run.
+# (URL extraction and the WhatsApp landing-page scraper), the LDA alias
+# table's construction under arbitrary weight shapes, and the checkpoint
+# manifest decoder. 10s per target: long enough to shake out regressions
+# against the checked-in corpus, short enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/urlpat
 	$(GO) test -run='^$$' -fuzz='^FuzzExtract$$' -fuzztime=10s ./internal/urlpat
 	$(GO) test -run='^$$' -fuzz='^FuzzScrapeLanding$$' -fuzztime=10s ./internal/platform/whatsapp
-	$(GO) test -run='^$$' -fuzz='^FuzzSparseBucket$$' -fuzztime=10s ./internal/analysis/lda
 	$(GO) test -run='^$$' -fuzz='^FuzzAliasTable$$' -fuzztime=10s ./internal/analysis/lda
 	$(GO) test -run='^$$' -fuzz='^FuzzManifestDecode$$' -fuzztime=10s ./internal/checkpoint
 
-# Topic-kernel smoke: fit all three Gibbs kernels (dense, sparse, alias)
+# Topic-kernel smoke: fit both Gibbs kernels (the dense oracle and alias)
 # on a tiny corpus and assert converged perplexity parity, then one pass
 # of the LDA benchmarks under the harness. Cheap proof in CI that a
 # sampler change cannot silently diverge the chains' topic quality.

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ldatopics -k 10 -iters 200 [-sampler alias] [-lang en] [-jsonl] [-platform WhatsApp] FILE
+//	ldatopics -k 10 -iters 200 [-sampler dense] [-lang en] [-jsonl] [-platform WhatsApp] FILE
 package main
 
 import (
@@ -34,7 +34,7 @@ func run() error {
 	jsonl := flag.Bool("jsonl", false, "input is a tweets.jsonl dataset file")
 	lang := flag.String("lang", "en", "language filter for -jsonl input (empty = all)")
 	plat := flag.String("platform", "", "platform filter for -jsonl input (WhatsApp/Telegram/Discord)")
-	samplerName := flag.String("sampler", "", "Gibbs kernel: dense, sparse or alias (default: package routing)")
+	samplerName := flag.String("sampler", "", "Gibbs kernel: alias or dense (default: alias, dense above 256 topics)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("expected exactly one input file, got %d", flag.NArg())

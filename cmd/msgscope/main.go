@@ -108,7 +108,7 @@ func runStudy(args []string) error {
 	csvDir := fs.String("csv", "", "directory to write per-figure CSV data (optional)")
 	svgDir := fs.String("svg", "", "directory to render per-figure SVG charts (optional)")
 	socialSrc := fs.Bool("social", false, "enable the secondary discovery source (crosssource experiment)")
-	ldaSampler := fs.String("lda-sampler", "", "LDA Gibbs kernel for the table3 analysis: dense, sparse or alias (default: package routing)")
+	ldaSampler := fs.String("lda-sampler", "", "LDA Gibbs kernel for the table3 analysis: alias or dense (default: alias, dense above 256 topics)")
 	faultRate := fs.Float64("fault-rate", 0, "per-request probability of an injected server error (plus timeouts and malformed bodies at a quarter of the rate); 0 disables fault injection")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof allocs/heap profile to this file at exit")

@@ -1,8 +1,11 @@
 package msgscope_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -20,33 +23,67 @@ import (
 // produce byte-identical report output. The order-sensitive experiments
 // are the interesting ones — Table 3's LDA subsamples a collection-order
 // prefix of the tweet slice, and Figures 8/9 walk the message slice — so
-// any ingest-order divergence shows up here.
+// any ingest-order divergence shows up here. With message bodies on, the
+// exported messages and the toxicity scan must match too: a body may not
+// depend on the order in which concurrent history requests were served.
 func TestSerialAndParallelRunsRenderIdentically(t *testing.T) {
-	ctx := context.Background()
-	base := msgscope.Options{Seed: 42, Scale: 0.01, Days: 10}
+	for _, text := range []bool{false, true} {
+		t.Run(fmt.Sprintf("text=%v", text), func(t *testing.T) {
+			ctx := context.Background()
+			base := msgscope.Options{Seed: 42, Scale: 0.01, Days: 10, GenerateMessageText: text}
 
-	serialOpts := base
-	serialOpts.SearchWorkers, serialOpts.CollectWorkers = 1, 1
-	serial, err := msgscope.Run(ctx, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := msgscope.Run(ctx, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+			serialOpts := base
+			serialOpts.SearchWorkers, serialOpts.CollectWorkers = 1, 1
+			serial, err := msgscope.Run(ctx, serialOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := msgscope.Run(ctx, base)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	for _, id := range []string{"table1", "table2", "table3", "fig1", "fig6", "fig8", "fig9"} {
-		if s, p := serial.Render(id), parallel.Render(id); s != p {
-			t.Errorf("%s diverges between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", id, s, p)
-		}
+			ids := []string{"table1", "table2", "table3", "fig1", "fig6", "fig8", "fig9"}
+			if text {
+				ids = append(ids, "toxicity")
+			}
+			for _, id := range ids {
+				if s, p := serial.Render(id), parallel.Render(id); s != p {
+					t.Errorf("%s diverges between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", id, s, p)
+				}
+			}
+			if !text {
+				return
+			}
+			dirS, dirP := filepath.Join(t.TempDir(), "serial"), filepath.Join(t.TempDir(), "parallel")
+			if err := serial.SaveDataset(dirS); err != nil {
+				t.Fatal(err)
+			}
+			if err := parallel.SaveDataset(dirP); err != nil {
+				t.Fatal(err)
+			}
+			ms, err := os.ReadFile(filepath.Join(dirS, "messages.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp, err := os.ReadFile(filepath.Join(dirP, "messages.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(ms, []byte(`"text"`)) {
+				t.Fatal("text-on run exported no message bodies")
+			}
+			if !bytes.Equal(ms, mp) {
+				t.Errorf("messages.jsonl differs between serial (%d bytes) and parallel (%d bytes) runs", len(ms), len(mp))
+			}
+		})
 	}
 }
 
 // TestLDAWorkerCountInvariance is the analysis-phase half of the
-// determinism contract: both parallel Gibbs samplers — the sparse s/r/q
-// decomposition and the alias-table Metropolis–Hastings chain — must
-// produce a byte-identical fitted model at any worker count, because
+// determinism contract: the parallel Gibbs sampler — the alias-table
+// Metropolis–Hastings chain Table 3 fits by default — must produce a
+// byte-identical fitted model at any worker count, because
 // Table 3's topics must not depend on the machine it ran on. The corpus
 // goes through the production tokenizer path so the test pins the whole
 // text→topics chain, not just the sampler.
@@ -76,9 +113,9 @@ func TestLDAWorkerCountInvariance(t *testing.T) {
 	// ranked word summaries. (The Model struct itself records the worker
 	// count in its config, so models fitted at different widths are
 	// compared by their observable state.)
-	fingerprint := func(sampler lda.Sampler, workers int) any {
+	fingerprint := func(workers int) any {
 		m := lda.Fit(corpus, lda.Config{
-			Topics: 10, Iterations: 60, Seed: 42, Workers: workers, Sampler: sampler,
+			Topics: 10, Iterations: 60, Seed: 42, Workers: workers, Sampler: lda.SamplerAlias,
 		})
 		docs := make([]int, 600)
 		for d := range docs {
@@ -86,12 +123,10 @@ func TestLDAWorkerCountInvariance(t *testing.T) {
 		}
 		return []any{docs, m.TopicShares(), m.Summaries(10), m.Perplexity()}
 	}
-	for _, sampler := range []lda.Sampler{lda.SamplerSparse, lda.SamplerAlias} {
-		want := fingerprint(sampler, 1)
-		for _, workers := range []int{4, 16} {
-			if got := fingerprint(sampler, workers); !reflect.DeepEqual(got, want) {
-				t.Errorf("lda.Fit(%s) with %d workers diverges from the serial fit", sampler, workers)
-			}
+	want := fingerprint(1)
+	for _, workers := range []int{4, 16} {
+		if got := fingerprint(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("lda.Fit(alias) with %d workers diverges from the serial fit", workers)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 //
 //	p(z=k | ·) ∝ (ndt[d][k]+α)(nwt[w][k]+β) / (nt[k]+βV)
 //
-// per token (O(K) dense, O(nonzero) sparse), each token draws a proposal
+// per token (O(K) in the dense oracle), each token draws a proposal
 // from a cheap distribution covering one factor of the conditional and
 // corrects it with a Metropolis–Hastings acceptance step:
 //
@@ -41,21 +41,26 @@
 // for words whose counts actually moved (a per-word stale counter fed by
 // the merge). MH stays exact under a stale proposal as long as the
 // acceptance ratio uses the same stale weights the table was built from —
-// wProp keeps them. Word-topic counts live in dense int32 rows rather
-// than the sparse sampler's packed rows: the MH acceptance needs random
-// O(1) count lookups, not nonzero enumeration, and at the paper's K a
-// dense row still fits one cache line (the packed scan measured ~40%
-// slower here; DESIGN.md §15 records the experiment).
+// wProp keeps them. Word-topic counts live in dense int32 rows: the MH
+// acceptance needs random O(1) count lookups, not nonzero enumeration,
+// and at the paper's K a dense row still fits one cache line (a packed
+// sparse-row scan measured ~40% slower here; DESIGN.md §15 records the
+// experiment).
 //
-// Parallelism reuses the sparse sampler's determinism machinery
-// unchanged (sparse.go): fixed 256-document chunks with per-chunk
-// SplitMix64 streams, frozen global counts during a sweep, and a serial
-// iteration-barrier delta merge — so the fitted model is byte-identical
-// at any Config.Workers. Alias tables rebuild only at the barrier, on a
-// schedule depending only on the iteration index and merged counts.
-// Unlike dense/sparse, the alias chain is a *different* Markov chain over
-// the same stationary distribution: tests gate it on converged
-// perplexity/coherence parity against the dense oracle plus an
+// Parallel determinism: documents are split into fixed-size chunks that
+// do not depend on the worker count. Each chunk owns a persistent RNG
+// stream (seeded from Config.Seed and the chunk index) and its documents'
+// ndt rows; global nwt/nt stay frozen during a sweep and every chunk
+// records its (w, from, to) transitions, which merge serially at the
+// iteration barrier in fixed chunk order. Integer count updates commute,
+// every float input is either frozen-global or chunk-local, and each
+// chunk's RNG consumption depends only on its own tokens — so the fitted
+// model is byte-identical at any Config.Workers. Alias tables rebuild
+// only at the barrier, on a schedule depending only on the iteration
+// index and merged counts. Unlike the dense oracle's exact-conditional
+// draws, the alias chain is a *different* Markov chain over the same
+// stationary distribution: tests gate it on converged perplexity and
+// coherence parity against the dense oracle plus an
 // exact-acceptance-ratio unit oracle, not on float identity.
 package lda
 
@@ -67,6 +72,25 @@ import (
 
 	"msgscope/internal/analysis/textproc"
 )
+
+// chunkDocs is the fixed document-chunk size. It is part of the
+// determinism contract: changing it changes which RNG stream samples which
+// document, i.e. the fitted model.
+const chunkDocs = 256
+
+// chunkStream derives a chunk's RNG stream offset. Any injective map
+// works; the golden-ratio multiply spreads consecutive indices across the
+// seed space.
+func chunkStream(ci int) uint64 {
+	return 0x51DA<<32 ^ uint64(ci)*0x9E3779B97F4A7C15
+}
+
+// tdelta is one recorded topic transition of word w, merged into the
+// global counts at the iteration barrier.
+type tdelta struct {
+	w        int32
+	from, to uint8
+}
 
 // aliasMaxK bounds the alias path's topic count: merge deltas pack topics
 // into a uint8 (tdelta), so 256 topics is the ceiling. Larger K falls
@@ -87,12 +111,23 @@ const aliasRebuildSweeps = 4
 // multiplicative Lehmer generator — state *= M, return the high half.
 // Two multiplies and an add per draw, ~4 cycles of latency against
 // SplitMix64's ~12: every token's proposal sits on the serial RNG
-// dependency chain, so draw latency is sweep throughput. A separate type
-// from the sparse sampler's rngState keeps the sparse chain (and every
-// golden output derived from it) byte-identical to before.
+// dependency chain, so draw latency is sweep throughput.
 type aliasRng struct{ lo, hi uint64 }
 
 const lehmerMul = 0xda942042e4dd58b5
+
+// rngState is a SplitMix64 stream (Steele, Lea & Flood 2014): one uint64
+// of state, six cheap fully-inlined ops per draw. It only seeds the
+// Lehmer state of each chunk's aliasRng.
+type rngState uint64
+
+func (s *rngState) next() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xBF58476D1CE4B09B
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
 
 // newAliasRng expands a 64-bit stream seed into Lehmer state through
 // SplitMix64, forcing the low word odd (the generator is multiplicative
@@ -117,8 +152,8 @@ func (r *aliasRng) intN(n int) int {
 	return int(hi)
 }
 
-// aliasChunk is one fixed 256-document span with its own RNG stream and
-// transition log — the alias twin of sparse.go's chunkState.
+// aliasChunk is one fixed chunkDocs-document span with its own RNG stream
+// and transition log.
 type aliasChunk struct {
 	lo, hi int
 	rng    aliasRng
@@ -197,11 +232,11 @@ func newAliasSampler(m *Model) *aliasSampler {
 			st.tok32[off+i] = int32(w)
 		}
 	}
-	nChunks := (len(m.docs) + sparseChunkDocs - 1) / sparseChunkDocs
+	nChunks := (len(m.docs) + chunkDocs - 1) / chunkDocs
 	st.chunks = make([]aliasChunk, nChunks)
 	for ci := range st.chunks {
-		lo := ci * sparseChunkDocs
-		hi := lo + sparseChunkDocs
+		lo := ci * chunkDocs
+		hi := lo + chunkDocs
 		if hi > len(m.docs) {
 			hi = len(m.docs)
 		}
@@ -449,6 +484,15 @@ func (st *aliasSampler) sampleToken(rng *aliasRng, zd []int32, nd int, ndtRow []
 	return s
 }
 
+// aliasWordStep picks the proposal kind for a sweep: two word-proposal
+// sweeps for every doc-proposal sweep. On tweet-length documents the doc
+// proposal is weakly informative — with α = 50/K and nd ≈ 14 tokens,
+// αK ≫ nd, so most doc-proposal draws land in the smoothing mass and
+// propose a uniform topic. The word proposal carries nearly all the
+// mixing, so it gets the extra turn; the cycle still visits both
+// proposals, which the cycling-MH correctness argument requires.
+func aliasWordStep(iter int) bool { return iter%3 != 2 }
+
 // sweepChunk resamples every token of one chunk against the frozen global
 // counts, recording transitions for the barrier merge. The production
 // loops are fused: float-for-float they perform exactly the detach →
@@ -460,15 +504,6 @@ func (st *aliasSampler) sampleToken(rng *aliasRng, zd []int32, nd int, ndtRow []
 // proposals land on the current topic — the early-out runs before any
 // word-row load), and the word/doc steps split into separate loops so
 // neither pays the other's branch or register pressure.
-// aliasWordStep picks the proposal kind for a sweep: two word-proposal
-// sweeps for every doc-proposal sweep. On tweet-length documents the doc
-// proposal is weakly informative — with α = 50/K and nd ≈ 14 tokens,
-// αK ≫ nd, so most doc-proposal draws land in the smoothing mass and
-// propose a uniform topic. The word proposal carries nearly all the
-// mixing, so it gets the extra turn; the cycle still visits both
-// proposals, which the cycling-MH correctness argument requires.
-func aliasWordStep(iter int) bool { return iter%3 != 2 }
-
 func (st *aliasSampler) sweepChunk(ck *aliasChunk, wordStep bool) {
 	if wordStep {
 		st.sweepChunkWord(ck)

@@ -14,18 +14,16 @@ import (
 )
 
 // Sampler names a Gibbs kernel. The empty string (SamplerAuto) picks the
-// historical default: SparseLDA for K ≤ 15, the dense reference above.
+// alias kernel for K ≤ 256 and the dense reference above.
 type Sampler string
 
 const (
-	// SamplerAuto is the default routing: sparse for K ≤ sparseMaxK,
-	// dense otherwise (Config.Dense still forces dense).
+	// SamplerAuto is the default routing: alias for K ≤ aliasMaxK, dense
+	// otherwise.
 	SamplerAuto Sampler = ""
 	// SamplerDense is the O(K)-per-token exact-conditional reference
-	// chain — the differential oracle of the other two.
+	// chain — the differential oracle of the alias kernel.
 	SamplerDense Sampler = "dense"
-	// SamplerSparse is the s/r/q bucket decomposition (sparse.go).
-	SamplerSparse Sampler = "sparse"
 	// SamplerAlias is the alias-table Metropolis–Hastings sampler
 	// (alias.go): O(1) proposals from per-word alias tables, corrected by
 	// an acceptance step.
@@ -35,10 +33,10 @@ const (
 // ParseSampler validates a sampler name from a flag or config file.
 func ParseSampler(s string) (Sampler, error) {
 	switch Sampler(s) {
-	case SamplerAuto, SamplerDense, SamplerSparse, SamplerAlias:
+	case SamplerAuto, SamplerDense, SamplerAlias:
 		return Sampler(s), nil
 	}
-	return SamplerAuto, fmt.Errorf("lda: unknown sampler %q (want dense, sparse or alias)", s)
+	return SamplerAuto, fmt.Errorf("lda: unknown sampler %q (want \"\", dense or alias)", s)
 }
 
 // Config parameterizes a model fit.
@@ -48,27 +46,20 @@ type Config struct {
 	Beta       float64 // topic-word prior (default 0.01)
 	Iterations int     // Gibbs sweeps (default 200)
 	Seed       uint64
-	// Workers bounds the sparse and alias samplers' sweep parallelism
-	// (0 = GOMAXPROCS, 1 = serial). The fitted model is byte-identical at
-	// any worker count: documents are partitioned into fixed-size chunks
-	// with their own SplitMix64 streams, and count updates merge at an
-	// iteration barrier (see sparse.go).
+	// Workers bounds the alias sampler's sweep parallelism (0 =
+	// GOMAXPROCS, 1 = serial); the dense chain is inherently sequential
+	// and ignores it. The fitted model is byte-identical at any worker
+	// count: documents are partitioned into fixed-size chunks with their
+	// own RNG streams, and count updates merge at an iteration barrier
+	// (see alias.go).
 	Workers int
-	// Sampler picks the Gibbs kernel; SamplerAuto (the zero value) keeps
-	// the historical routing. Every sampler targets the same collapsed
-	// posterior: dense and sparse draw the exact conditional (identical
-	// converged quality, pinned float-for-float against each other in
-	// tests), alias runs a Metropolis–Hastings chain whose stationary
-	// distribution is that conditional (converged perplexity parity is
-	// the gate instead of float identity).
+	// Sampler picks the Gibbs kernel; SamplerAuto (the zero value) routes
+	// K ≤ 256 to alias and larger K to dense. Both target the same
+	// collapsed posterior: dense draws the exact conditional, alias runs
+	// a Metropolis–Hastings chain whose stationary distribution is that
+	// conditional (converged perplexity and coherence parity against
+	// dense is the gate, not float identity).
 	Sampler Sampler
-	// Dense selects the reference O(K)-per-token sequential sampler
-	// instead of the default SparseLDA sampler — shorthand for
-	// Sampler: SamplerDense kept for existing callers; Workers is ignored
-	// (the dense chain is inherently sequential). Topics above sparseMaxK
-	// (15) also take this path under SamplerAuto — the sparse sweep
-	// specializes small K.
-	Dense bool
 }
 
 func (c Config) withDefaults() Config {
@@ -106,32 +97,16 @@ type Model struct {
 }
 
 // Fit runs collapsed Gibbs sampling over the corpus. The default sampler
-// is the SparseLDA s/r/q bucket decomposition (sparse.go), deterministic
-// at any Config.Workers; Config.Sampler (or the legacy Config.Dense)
-// selects the dense reference chain or the alias-table MH sampler
-// (alias.go) instead. Configurations a kernel cannot represent — K above
-// its topic ceiling, packed-count overflow — fall back to the dense path
-// rather than failing.
+// is the alias-table MH kernel (alias.go), deterministic at any
+// Config.Workers; Config.Sampler selects the dense reference chain
+// instead. K above the alias kernel's topic ceiling falls back to the
+// dense path rather than failing.
 func Fit(c *textproc.Corpus, cfg Config) *Model {
 	cfg = cfg.withDefaults()
-	switch cfg.Sampler {
-	case SamplerDense:
-		return fitDense(c, cfg)
-	case SamplerSparse:
-		if cfg.Topics > sparseMaxK {
-			return fitDense(c, cfg)
-		}
-		return fitSparse(c, cfg)
-	case SamplerAlias:
-		if cfg.Topics > aliasMaxK {
-			return fitDense(c, cfg)
-		}
-		return fitAlias(c, cfg)
-	}
-	if cfg.Dense || cfg.Topics > sparseMaxK {
+	if cfg.Sampler == SamplerDense || cfg.Topics > aliasMaxK {
 		return fitDense(c, cfg)
 	}
-	return fitSparse(c, cfg)
+	return fitAlias(c, cfg)
 }
 
 // newModel allocates the count arrays shared by both samplers. Topic

@@ -29,6 +29,33 @@ func synthCorpus(nDocs int) *textproc.Corpus {
 	return textproc.NewCorpus(textproc.NewTokenizer(), texts)
 }
 
+// mixedCorpus builds a messier corpus than synthCorpus: overlapping word
+// pools, varying document lengths, a few empty documents — the shapes the
+// chunked sampler bookkeeping has to survive.
+func mixedCorpus(nDocs int) *textproc.Corpus {
+	pools := [][]string{
+		{"bitcoin", "crypto", "wallet", "trading", "profit", "signal"},
+		{"anime", "server", "gaming", "nitro", "discord", "signal"},
+		{"invite", "group", "link", "join", "telegram", "wallet"},
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	var texts []string
+	for i := 0; i < nDocs; i++ {
+		if i%17 == 0 {
+			texts = append(texts, "")
+			continue
+		}
+		pool := pools[i%len(pools)]
+		n := 3 + rng.IntN(20)
+		var words []string
+		for j := 0; j < n; j++ {
+			words = append(words, pool[rng.IntN(len(pool))])
+		}
+		texts = append(texts, strings.Join(words, " "))
+	}
+	return textproc.NewCorpus(textproc.NewTokenizer(), texts)
+}
+
 func TestFitRecoversPlantedTopics(t *testing.T) {
 	c := synthCorpus(200)
 	m := Fit(c, Config{Topics: 2, Iterations: 80, Seed: 3})
@@ -194,5 +221,26 @@ func TestCoherenceDegenerate(t *testing.T) {
 	me := Fit(empty, Config{Topics: 2, Iterations: 2, Seed: 1})
 	if got := me.MeanCoherence(empty, 5); got != 0 {
 		t.Fatalf("empty-corpus coherence = %v, want 0", got)
+	}
+}
+
+func TestParseSampler(t *testing.T) {
+	for _, name := range []string{"", "dense", "alias"} {
+		if s, err := ParseSampler(name); err != nil || string(s) != name {
+			t.Errorf("ParseSampler(%q) = %q, %v", name, s, err)
+		}
+	}
+	// "sparse" named a kernel that no longer exists; it must not silently
+	// fall through to the default.
+	for _, name := range []string{"sparse", "Alias", "bogus"} {
+		_, err := ParseSampler(name)
+		if err == nil {
+			t.Fatalf("ParseSampler(%q) accepted an unknown kernel", name)
+		}
+		for _, want := range []string{"dense", "alias"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParseSampler(%q) error %q does not name %q", name, err, want)
+			}
+		}
 	}
 }

@@ -5,17 +5,17 @@ import (
 	"testing"
 )
 
-// TestLDASamplerParitySmoke is the `make bench-lda` CI gate: fit all three
-// Gibbs kernels on a tiny corpus and require converged training perplexity
-// within 10% of each other pairwise. Dense and sparse draw the same exact
-// conditional and alias is an MH chain over the same posterior, so any
-// kernel drifting out of the shared basin is a sampler bug, not noise —
-// the corpus is seeded and small enough that 80 sweeps converge all three.
+// TestLDASamplerParitySmoke is the `make bench-lda` CI gate: fit both
+// Gibbs kernels on a tiny corpus and require converged training
+// perplexity within 10% of each other. Dense draws the exact conditional
+// and alias is an MH chain over the same posterior, so alias drifting out
+// of the dense oracle's basin is a sampler bug, not noise — the corpus is
+// seeded and small enough that 80 sweeps converge both.
 func TestLDASamplerParitySmoke(t *testing.T) {
 	c := mixedCorpus(200)
 	cfg := Config{Topics: 6, Iterations: 80, Seed: 42, Workers: 1}
 	perp := map[Sampler]float64{}
-	for _, s := range []Sampler{SamplerDense, SamplerSparse, SamplerAlias} {
+	for _, s := range []Sampler{SamplerDense, SamplerAlias} {
 		cc := cfg
 		cc.Sampler = s
 		perp[s] = Fit(c, cc).Perplexity()
@@ -23,17 +23,9 @@ func TestLDASamplerParitySmoke(t *testing.T) {
 			t.Fatalf("%s sampler produced degenerate perplexity %v", s, perp[s])
 		}
 	}
-	t.Logf("perplexity: dense %.2f sparse %.2f alias %.2f",
-		perp[SamplerDense], perp[SamplerSparse], perp[SamplerAlias])
-	for _, a := range []Sampler{SamplerDense, SamplerSparse, SamplerAlias} {
-		for _, b := range []Sampler{SamplerDense, SamplerSparse, SamplerAlias} {
-			if a >= b {
-				continue
-			}
-			if rel := math.Abs(perp[a]-perp[b]) / perp[a]; rel > 0.10 {
-				t.Errorf("%s vs %s perplexity diverges %.1f%%: %.2f vs %.2f",
-					a, b, rel*100, perp[a], perp[b])
-			}
-		}
+	pd, pa := perp[SamplerDense], perp[SamplerAlias]
+	t.Logf("perplexity: dense %.2f alias %.2f", pd, pa)
+	if rel := math.Abs(pd-pa) / pd; rel > 0.10 {
+		t.Errorf("dense vs alias perplexity diverges %.1f%%: %.2f vs %.2f", rel*100, pd, pa)
 	}
 }

@@ -27,7 +27,10 @@ import (
 
 // Version is the current manifest format version. A manifest written by a
 // different version is rejected (the format is internal to one build).
-const Version = 1
+// Version 2: the default Table 3 LDA kernel became alias, so a version-1
+// checkpoint (whose empty sampler meant the removed sparse kernel) must
+// not resume onto a different chain.
+const Version = 2
 
 // ManifestFile is the manifest's file name inside a checkpoint directory.
 const ManifestFile = "manifest.json"

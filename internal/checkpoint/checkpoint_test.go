@@ -162,10 +162,12 @@ func TestDecodeRejectsSplicedPayload(t *testing.T) {
 }
 
 func TestDecodeRejectsVersionSkew(t *testing.T) {
-	m := sampleManifest()
-	m.Version = Version + 1
-	if _, err := Decode(encode(t, m)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("version skew: err = %v, want ErrCorrupt", err)
+	for _, v := range []int{Version - 1, Version + 1} {
+		m := sampleManifest()
+		m.Version = v
+		if _, err := Decode(encode(t, m)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version %d: err = %v, want ErrCorrupt", v, err)
+		}
 	}
 }
 

@@ -88,8 +88,8 @@ type Config struct {
 	// alongside the Twitter APIs.
 	EnableSocialDiscovery bool
 	// LDASampler picks the Gibbs kernel for the Table 3 topic extraction
-	// (dense, sparse, alias); empty keeps the lda package's default
-	// routing. Collection is unaffected — the sampler only matters when
+	// (dense or alias); empty keeps the lda package's default routing
+	// (alias). Collection is unaffected — the sampler only matters when
 	// experiments are derived from the finished dataset.
 	LDASampler lda.Sampler
 	// Faults, when non-nil, injects deterministic failures (500s, aborted
@@ -589,19 +589,11 @@ func (s *Study) MonitorStats() monitor.Stats { return s.monitor.Stats() }
 // JoinStats exposes join-phase counters.
 func (s *Study) JoinStats() join.Stats { return s.joiner.Stats() }
 
-// FaultCounts exposes how many faults the injector served (zero value when
-// no fault plan is configured). The counts are approximate across runs:
-// Go's HTTP transport transparently re-sends a request whose reused
-// connection died mid-flight (the timeout fault), and the re-sent request
-// draws — and counts — the same fault again. Data outcomes are unaffected
-// (the duplicate draw is identical), but the totals can differ between
-// otherwise identical runs; don't assert exact values.
-func (s *Study) FaultCounts() faults.Counts { return s.injector.Counts() }
-
 // FaultEpoch exposes the injector's phase epoch (zero when no fault plan
-// is configured). Unlike the raw counts it is exact: the epoch advances
-// once per phase boundary, so an uninterrupted run and a resumed run must
-// end on the same value.
+// is configured). Unlike the injector's raw fault counts, which the HTTP
+// transport's transparent re-sends can inflate, it is exact: the epoch
+// advances once per phase boundary, so an uninterrupted run and a resumed
+// run must end on the same value.
 func (s *Study) FaultEpoch() uint64 { return s.injector.Epoch() }
 
 // BreakerStats reports circuit-breaker open/close transitions per platform

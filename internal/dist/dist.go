@@ -166,14 +166,3 @@ func Geometric(rng *rand.Rand, p float64) int {
 	u := rng.Float64()
 	return int(math.Floor(math.Log(1-u) / math.Log(1-p)))
 }
-
-// ClampInt limits v to [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

@@ -167,9 +167,3 @@ func TestBernoulliExtremes(t *testing.T) {
 		}
 	}
 }
-
-func TestClampInt(t *testing.T) {
-	if ClampInt(5, 1, 3) != 3 || ClampInt(-5, 1, 3) != 1 || ClampInt(2, 1, 3) != 2 {
-		t.Fatal("ClampInt wrong")
-	}
-}

@@ -118,82 +118,3 @@ func BenchmarkU64MapGetHit(b *testing.B) {
 		m.Get(uint64(i%n) + 1)
 	}
 }
-
-// TestU64MapCompactDifferential rebuilds the table under a keep predicate
-// and checks it against a builtin-map oracle: survivors keep their values,
-// dropped keys are gone, and the backing shrinks to survivor size.
-func TestU64MapCompactDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := NewU64Map(0)
-	ref := make(map[uint64]uint32)
-	for i := 0; i < 100_000; i++ {
-		k := rng.Uint64() >> uint(rng.Intn(24))
-		v := uint32(rng.Int31())
-		m.Put(k, v)
-		ref[k] = v
-	}
-	m.Put(0, 99)
-	ref[0] = 99
-	grown := m.HeapBytes()
-
-	keep := func(k uint64) bool { return k%4 == 0 }
-	m.Compact(keep)
-	for k, v := range ref {
-		if !keep(k) {
-			delete(ref, k)
-			continue
-		}
-		got, ok := m.Get(k)
-		if !ok || got != v {
-			t.Fatalf("after Compact: Get(%d) = (%d,%v), want (%d,true)", k, got, ok, v)
-		}
-	}
-	if m.Len() != len(ref) {
-		t.Fatalf("after Compact: Len = %d, want %d", m.Len(), len(ref))
-	}
-	for i := 0; i < 10_000; i++ {
-		k := rng.Uint64()
-		if _, kept := ref[k]; kept {
-			continue
-		}
-		if _, ok := m.Get(k); ok {
-			t.Fatalf("Compact kept key %d it should have dropped", k)
-		}
-	}
-	if shrunk := m.HeapBytes(); shrunk*2 > grown {
-		t.Errorf("Compact to 1/4 of the keys only shrank %d -> %d bytes", grown, shrunk)
-	}
-
-	// Dropping the zero key goes through the out-of-band slot.
-	m.Compact(func(k uint64) bool { return k != 0 })
-	if _, ok := m.Get(0); ok {
-		t.Error("Compact kept the zero key despite keep(0) == false")
-	}
-
-	// Inserts after a compact keep working (the robin-hood invariants
-	// survive the rebuild).
-	m.Put(12345, 1)
-	if v, ok := m.Get(12345); !ok || v != 1 {
-		t.Errorf("Put after Compact: Get = (%d,%v), want (1,true)", v, ok)
-	}
-}
-
-// TestU64MapCompactAllocs pins Compact's allocation contract: the two new
-// backing slices and nothing per entry. Each run keeps everything, so the
-// rebuild is full-size every time.
-func TestU64MapCompactAllocs(t *testing.T) {
-	m := NewU64Map(4096)
-	for i := uint64(1); i <= 4096; i++ {
-		m.Put(i, uint32(i))
-	}
-	keepAll := func(uint64) bool { return true }
-	allocs := testing.AllocsPerRun(20, func() {
-		m.Compact(keepAll)
-	})
-	if allocs > 2 {
-		t.Errorf("Compact allocated %.1f objects/op, want <= 2 (the backing slices)", allocs)
-	}
-	if m.Len() != 4096 {
-		t.Fatalf("keep-all Compact lost entries: Len = %d", m.Len())
-	}
-}

@@ -398,26 +398,6 @@ func parseHistoryPage(body []byte, in *ids.Interner) ([]Message, int64, error) {
 	return msgs, next, d.End()
 }
 
-// History pages backwards through the chat's entire history (since
-// creation), up to maxMessages (0 = unlimited).
-func (c *Client) History(ctx context.Context, code string, maxMessages int) ([]Message, error) {
-	var out []Message
-	p := c.HistoryPager(code)
-	for !p.Done() {
-		page, err := p.Next(ctx)
-		if err != nil {
-			return out, err
-		}
-		for _, m := range page {
-			out = append(out, m)
-			if maxMessages > 0 && len(out) >= maxMessages {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
-}
-
 // Participant is one member profile; Phone is empty unless the user opted
 // into phone visibility.
 type Participant struct {

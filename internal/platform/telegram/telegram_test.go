@@ -12,6 +12,21 @@ import (
 	"msgscope/internal/simworld"
 )
 
+// history pages backwards through a chat's entire history (since
+// creation) and returns every message.
+func history(ctx context.Context, c *Client, code string) ([]Message, error) {
+	var out []Message
+	p := c.HistoryPager(code)
+	for !p.Done() {
+		page, err := p.Next(ctx)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, page...)
+	}
+	return out, nil
+}
+
 type fixture struct {
 	world *simworld.World
 	clock *simclock.Sim
@@ -109,7 +124,7 @@ func TestJoinAndHistorySinceCreation(t *testing.T) {
 	if !info.CreatedAt.Equal(g.CreatedAt.Truncate(time.Millisecond)) {
 		t.Fatalf("creation date %v, want %v", info.CreatedAt, g.CreatedAt)
 	}
-	msgs, err := c.History(ctx, g.Code, 0)
+	msgs, err := history(ctx, c, g.Code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +205,7 @@ func TestNotMemberHistory(t *testing.T) {
 	f := newFixture(t, DefaultServiceConfig())
 	g := f.pick(t, f.alive)
 	c := NewClient(f.srv.URL, "acct")
-	if _, err := c.History(context.Background(), g.Code, 0); !errors.Is(err, ErrNotMember) {
+	if _, err := history(context.Background(), c, g.Code); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("err = %v, want ErrNotMember", err)
 	}
 }

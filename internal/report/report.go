@@ -116,15 +116,6 @@ func (d Dataset) TweetsOf(p platform.Platform) store.TweetList {
 	})
 }
 
-// TweetDayBuckets returns the tweets partitioned by zero-based study day;
-// tweets outside the window appear in no bucket.
-func (d Dataset) TweetDayBuckets() []store.TweetList {
-	if d.Snap != nil {
-		return d.Snap.TweetsByDay()
-	}
-	return d.Store.Tweets().ByDay(d.Start, d.Days)
-}
-
 // Renderer is implemented by every experiment result.
 type Renderer interface {
 	Render() string

@@ -95,9 +95,8 @@ type Table3Config struct {
 	// MaxTweets bounds the LDA input per platform (0 = all); Gibbs is
 	// quadratic-ish in corpus size and the shape is stable on samples.
 	MaxTweets int
-	// Sampler picks the Gibbs kernel (dense, sparse, alias); the zero
-	// value keeps lda's default routing, so existing goldens are pinned
-	// to the exact-conditional chain.
+	// Sampler picks the Gibbs kernel (dense or alias); the zero value
+	// keeps lda's default routing, which fits Table 3 with alias.
 	Sampler lda.Sampler
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"msgscope/internal/dist"
 	"msgscope/internal/platform"
+	"msgscope/internal/textgen"
 )
 
 // memberListCap bounds how many member identities a group materializes —
@@ -114,6 +115,14 @@ func (w *World) Messages(g *Group, from, to time.Time) []Message {
 	// identical to the per-stream construction this replaces.
 	var pcg rand.PCG
 	dayRng := rand.New(&pcg)
+	// Bodies draw from their own per-message stream, reseeded from
+	// (group, channel, day, index), so a body never depends on which
+	// request generated it or on what other requests ran concurrently.
+	var textPCG rand.PCG
+	var text *textgen.Generator
+	if w.Cfg.GenerateMessageText {
+		text = textgen.New(rand.New(&textPCG))
+	}
 	for !dayStart.After(to) {
 		dayEnd := dayStart.Add(24 * time.Hour)
 		dayIdx := uint64(dayStart.Unix() / 86400)
@@ -138,13 +147,9 @@ func (w *World) Messages(g *Group, from, to time.Time) []Message {
 					Type:      typ,
 					Seq:       uint32(c)<<18 | uint32(i)&0x3FFFF,
 				}
-				if w.Cfg.GenerateMessageText && m.Type == platform.Text {
-					// Serialized: the per-platform text generator has its
-					// own RNG and platform services handle requests
-					// concurrently.
-					w.msgModelMu.Lock()
-					m.Text = w.msgTextGen[g.Platform].Message(g.Lang, g.Topic)
-					w.msgModelMu.Unlock()
+				if text != nil && m.Type == platform.Text {
+					textPCG.Seed(g.noiseSeed^uint64(c)<<32^0x74657874, dayIdx<<32|uint64(i)) // "text"
+					m.Text = text.Message(g.Lang, g.Topic)
 				}
 				out = append(out, m)
 			}

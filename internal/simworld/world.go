@@ -106,12 +106,11 @@ type World struct {
 
 	Groups       map[platform.Platform][]*Group
 	byKey        map[groupKey]*Group
-	TweetsByDay  [][]*Tweet        // per study day, sorted by CreatedAt
+	TweetsByDay  [][]*Tweet // per study day, sorted by CreatedAt
 	ControlByDay [][]*Tweet
 	PostsByDay   [][]*Post // secondary social network
 
 	userPoolSize map[platform.Platform]int
-	msgTextGen   map[platform.Platform]*textgen.Generator
 
 	msgModelMu sync.Mutex
 	msgModels  map[*Group]*msgModel
@@ -144,7 +143,6 @@ func New(cfg Config) *World {
 		TweetsByDay:  make([][]*Tweet, cfg.Days),
 		ControlByDay: make([][]*Tweet, cfg.Days),
 		userPoolSize: map[platform.Platform]int{},
-		msgTextGen:   map[platform.Platform]*textgen.Generator{},
 	}
 	// Pool sizes are set so member overlap across joined groups matches the
 	// paper: WhatsApp's 416 joined groups held 20,906 distinct members for
@@ -164,7 +162,6 @@ func New(cfg Config) *World {
 		}
 	}
 	for _, p := range platform.All {
-		w.msgTextGen[p] = textgen.New(ids.Fork(cfg.Seed, "msgtext/"+p.String()))
 		w.genPlatform(p)
 	}
 	w.genControl()
@@ -205,9 +202,6 @@ func (w *World) platformCfg(p platform.Platform) *PlatformConfig {
 func (w *World) GroupByCode(p platform.Platform, code string) *Group {
 	return w.byKey[groupKey{p, code}]
 }
-
-// UserPoolSize returns the size of a platform's member identity pool.
-func (w *World) UserPoolSize(p platform.Platform) int { return w.userPoolSize[p] }
 
 // DayOf maps an instant to a zero-based study day (negative before start).
 func (w *World) DayOf(t time.Time) int {

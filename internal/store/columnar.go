@@ -543,35 +543,6 @@ func (l TweetList) Where(keep func(TweetRecord) bool) TweetList {
 	return TweetList{c: l.c, idx: idx}
 }
 
-// ByDay partitions the view into zero-based study-day buckets; tweets
-// outside [start, start+days) appear in no bucket.
-func (l TweetList) ByDay(start time.Time, days int) []TweetList {
-	if days <= 0 {
-		return nil
-	}
-	idxs := make([][]uint32, days)
-	startNano := timeToNano(start)
-	const dayNanos = int64(24 * time.Hour)
-	for i, n := 0, l.Len(); i < n; i++ {
-		j := i
-		if !l.all {
-			j = int(l.idx[i])
-		}
-		c := l.c.createdNano(j)
-		if c == zeroTimeNano {
-			continue
-		}
-		if d := int((c - startNano) / dayNanos); d >= 0 && d < days {
-			idxs[d] = append(idxs[d], uint32(j))
-		}
-	}
-	out := make([]TweetList, days)
-	for d := range out {
-		out[d] = TweetList{c: l.c, idx: idxs[d]}
-	}
-	return out
-}
-
 // ControlList is a read-only view of the control tweets.
 type ControlList struct {
 	c controlCols

@@ -14,9 +14,9 @@ import (
 // letting experiments do O(their output) work instead of re-sorting the
 // store's maps on each call.
 //
-// The per-platform and per-day tweet/message partitions are []uint32 row
-// indexes into the columnar families — 4 bytes per entry where the former
-// layout kept an 8-byte pointer into a slice of structs.
+// The per-platform tweet partitions are []uint32 row indexes into the
+// columnar tweet family — 4 bytes per entry where the former layout kept
+// an 8-byte pointer into a slice of structs.
 //
 // Contract: take the snapshot only after collection has stopped, and treat
 // everything it exposes as read-only.
@@ -39,10 +39,8 @@ type Snapshot struct {
 	Users  []*UserRecord
 
 	tweetsByPlat map[platform.Platform]TweetList
-	msgsByPlat   map[platform.Platform]MessageList
 	groupsByPlat map[platform.Platform]GroupList
 	joinedByPlat map[platform.Platform]GroupList
-	tweetsByDay  []TweetList
 	counts       map[platform.Platform]Counts
 }
 
@@ -82,27 +80,18 @@ func (s *Store) Snapshot(start time.Time, days int) *Snapshot {
 		Groups:       GroupList{views: groupViews, refs: s.groups.sorted},
 		Users:        s.users.materializeLocked(true),
 		tweetsByPlat: map[platform.Platform]TweetList{},
-		msgsByPlat:   map[platform.Platform]MessageList{},
 		groupsByPlat: map[platform.Platform]GroupList{},
 		joinedByPlat: map[platform.Platform]GroupList{},
 		counts:       map[platform.Platform]Counts{},
 	}
 
-	// Partition tweets by platform and study day in one pass over the
-	// packed columns, counting distinct users by interned handle.
+	// Partition tweets by platform in one pass over the packed columns,
+	// counting distinct users by interned handle.
 	platIdx := map[platform.Platform][]uint32{}
-	dayIdx := make([][]uint32, days)
 	tweetUsers := map[platform.Platform]map[uint32]struct{}{}
-	startNano := timeToNano(start)
-	const dayNanos = int64(24 * time.Hour)
 	for i, n := 0, s.tweets.len(); i < n; i++ {
 		p := platform.Platform(s.tweets.platAt(i))
 		platIdx[p] = append(platIdx[p], uint32(i))
-		if c := s.tweets.createdNano(i); c != zeroTimeNano {
-			if d := int((c - startNano) / dayNanos); d >= 0 && d < days {
-				dayIdx[d] = append(dayIdx[d], uint32(i))
-			}
-		}
 		set := tweetUsers[p]
 		if set == nil {
 			set = map[uint32]struct{}{}
@@ -113,27 +102,18 @@ func (s *Store) Snapshot(start time.Time, days int) *Snapshot {
 	for p, idx := range platIdx {
 		sn.tweetsByPlat[p] = TweetList{c: tweets.c, idx: idx}
 	}
-	if days > 0 {
-		sn.tweetsByDay = make([]TweetList, days)
-		for d := range dayIdx {
-			sn.tweetsByDay[d] = TweetList{c: tweets.c, idx: dayIdx[d]}
-		}
-	}
 
-	msgIdx := map[platform.Platform][]uint32{}
+	msgCount := map[platform.Platform]int{}
 	msgUsers := map[platform.Platform]map[uint64]struct{}{}
 	for i, n := 0, s.msgs.len(); i < n; i++ {
 		p := platform.Platform(s.msgs.platAt(i))
-		msgIdx[p] = append(msgIdx[p], uint32(i))
+		msgCount[p]++
 		set := msgUsers[p]
 		if set == nil {
 			set = map[uint64]struct{}{}
 			msgUsers[p] = set
 		}
 		set[s.msgs.authorKey(i)] = struct{}{}
-	}
-	for p, idx := range msgIdx {
-		sn.msgsByPlat[p] = MessageList{c: msgs.c, idx: idx}
 	}
 
 	// The rebuild already partitioned the sorted refs by platform; the
@@ -158,7 +138,7 @@ func (s *Store) Snapshot(start time.Time, days int) *Snapshot {
 			TweetUsers:   len(tweetUsers[p]),
 			GroupURLs:    sn.groupsByPlat[p].Len(),
 			JoinedGroups: sn.joinedByPlat[p].Len(),
-			Messages:     len(msgIdx[p]),
+			Messages:     msgCount[p],
 			MessageUsers: len(msgUsers[p]),
 		}
 	}
@@ -173,14 +153,6 @@ func (sn *Snapshot) TweetsOf(p platform.Platform) TweetList {
 	return TweetList{c: sn.Tweets.c, idx: []uint32{}}
 }
 
-// MessagesOf returns one platform's collected messages.
-func (sn *Snapshot) MessagesOf(p platform.Platform) MessageList {
-	if l, ok := sn.msgsByPlat[p]; ok {
-		return l
-	}
-	return MessageList{c: sn.Messages.c, idx: []uint32{}}
-}
-
 // GroupsOf returns one platform's groups, sorted by code. The zero
 // GroupList of an absent platform has Len 0.
 func (sn *Snapshot) GroupsOf(p platform.Platform) GroupList {
@@ -191,10 +163,6 @@ func (sn *Snapshot) GroupsOf(p platform.Platform) GroupList {
 func (sn *Snapshot) JoinedOf(p platform.Platform) GroupList {
 	return sn.joinedByPlat[p]
 }
-
-// TweetsByDay returns the tweets bucketed by zero-based study day; tweets
-// outside the window appear in no bucket.
-func (sn *Snapshot) TweetsByDay() []TweetList { return sn.tweetsByDay }
 
 // CountsFor returns the precomputed Table 2 row of one platform.
 func (sn *Snapshot) CountsFor(p platform.Platform) Counts { return sn.counts[p] }

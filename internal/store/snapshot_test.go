@@ -73,27 +73,6 @@ func TestSnapshotMatchesStore(t *testing.T) {
 	}
 }
 
-func TestSnapshotDayBuckets(t *testing.T) {
-	sn := buildSnapshotStore().Snapshot(snapStart, 3)
-	buckets := sn.TweetsByDay()
-	if len(buckets) != 3 {
-		t.Fatalf("%d buckets, want 3", len(buckets))
-	}
-	if buckets[0].Len() != 1 || buckets[1].Len() != 2 || buckets[2].Len() != 0 {
-		t.Fatalf("bucket sizes %d/%d/%d, want 1/2/0",
-			buckets[0].Len(), buckets[1].Len(), buckets[2].Len())
-	}
-	// The day-9 Discord tweet is outside the window: present in the flat
-	// view, absent from every bucket.
-	var bucketed int
-	for _, b := range buckets {
-		bucketed += b.Len()
-	}
-	if bucketed != 3 {
-		t.Fatalf("bucketed %d tweets, want 3 (one outside window)", bucketed)
-	}
-}
-
 func TestGroupRecordsAreCallerOwned(t *testing.T) {
 	s := buildSnapshotStore()
 	s.AddObservation(platform.WhatsApp, "wa1", Observation{At: snapStart, Alive: true, Members: 5})

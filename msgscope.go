@@ -75,12 +75,12 @@ type Options struct {
 	// Twitter APIs (Section 8 future work).
 	SocialDiscovery bool
 	// LDASampler picks the Gibbs kernel for the Table 3 topic analysis:
-	// "dense" (the exact-conditional reference chain), "sparse" (the
-	// s/r/q bucket decomposition), "alias" (the alias-table
-	// Metropolis–Hastings sampler, ~3x faster than dense at the paper's
-	// K=10), or "" for the package default. Collection is unaffected;
-	// only the derived topics change chain (all samplers target the same
-	// posterior and are parity-gated in tests).
+	// "alias" (the alias-table Metropolis–Hastings sampler, ~3x faster
+	// than dense at the paper's K=10), "dense" (the exact-conditional
+	// reference chain), or "" for the package default (alias; dense above
+	// 256 topics). Collection is unaffected; only the derived topics
+	// change chain (both samplers target the same posterior and are
+	// parity-gated in tests).
 	LDASampler string
 	// SearchWorkers bounds the hourly Search API fan-out (0 = one worker
 	// per tracked URL pattern, 1 = serial). The collected dataset is
@@ -421,9 +421,9 @@ func (r *Result) Summary() string {
 		js.Joined, js.DeadInvites, js.FloodWaits, t2.Total.Messages, t2.Total.MessageUsers)
 	// The raw injected-fault total is omitted on purpose: the HTTP
 	// transport transparently re-sends requests whose connection died on a
-	// timeout fault, so the injector's counters depend on connection reuse
-	// (see Study.FaultCounts). The deferral accounting below is exact and
-	// deterministic.
+	// timeout fault, and the re-sent request draws — and counts — the same
+	// fault again, so the injector's counters depend on connection reuse.
+	// The deferral accounting below is exact and deterministic.
 	if r.study.Cfg.Faults != nil {
 		fmt.Fprintf(&sb, "faults: deferred %d probes, %d joins/collections, %d search queries (retry budget exhausted; re-queued)\n",
 			ms.Deferred, js.Deferred, cs.SearchDeferred)
